@@ -36,7 +36,7 @@ type FlightRecord struct {
 	ApplyUS    uint32 `json:"apply_us"`
 	PublishUS  uint32 `json:"publish_us"`
 	Ops        uint32 `json:"ops"`
-	Err        uint8  `json:"err,omitempty"` // 1 = the batch hit a WAL failure
+	Err        uint8  `json:"err,omitempty"` // 1 = the batch rejected a mutation, or the WAL has failed
 }
 
 // US converts a stage duration to the flight record's µs unit, clamping

@@ -76,8 +76,9 @@ type PeerStats struct {
 	// arrival on the leader).
 	RTTNS int64 `json:"rtt_ns"`
 	// OffsetNS estimates the follower's wall clock minus the leader's,
-	// from offset ≈ ack.WallNS − (send + RTT/2). Zero until the follower
-	// sends wall-clock-stamped acks.
+	// from offset ≈ ack.WallNS − (send + RTT/2) of the lowest-RTT ack
+	// among the connection's last 64. Zero until the follower sends
+	// wall-clock-stamped acks.
 	OffsetNS int64 `json:"offset_ns"`
 	// LastAckNS is the leader wall clock at the most recent ack.
 	LastAckNS int64 `json:"last_ack_ns"`
@@ -96,6 +97,36 @@ type peerState struct {
 	rttNS     int64
 	offsetNS  int64
 	lastAckNS int64
+	clock     offsetFilter
+}
+
+// offsetWindow is how many recent acks the clock-offset filter keeps.
+const offsetWindow = 64
+
+// offsetFilter estimates a follower's clock offset NTP-style: it keeps
+// the offset sample of the lowest-RTT ack among the last offsetWindow.
+// A sample assumes the ack spent half its round trip in flight, so it
+// errs by at most RTT/2; the fastest recent round trip bounds the
+// estimate's error by minRTT/2, where the latest sample's RTT — inflated
+// by any scheduling delay — bounds nothing useful.
+type offsetFilter struct {
+	rtt, off [offsetWindow]int64
+	n        int // samples seen
+}
+
+// add records one ack's round trip and offset sample and returns the
+// current estimate.
+func (f *offsetFilter) add(rtt, off int64) int64 {
+	i := f.n % offsetWindow
+	f.rtt[i], f.off[i] = rtt, off
+	f.n++
+	best := i
+	for j := range min(f.n, offsetWindow) {
+		if f.rtt[j] < f.rtt[best] {
+			best = j
+		}
+	}
+	return f.off[best]
 }
 
 // sentFrame remembers when a MsgReplRecords frame left the leader. The
@@ -343,7 +374,7 @@ func (l *Leader) handle(c net.Conn) {
 				if ack.WallNS != 0 {
 					// The follower stamped its wall clock when it acked;
 					// assume the ack spent half the round trip in flight.
-					ps.offsetNS = ack.WallNS - (fr.atNS + rtt/2)
+					ps.offsetNS = ps.clock.add(rtt, ack.WallNS-(fr.atNS+rtt/2))
 				}
 				ps.ackedRecs = fr.total
 				// This ack covers every earlier frame too — drop them so

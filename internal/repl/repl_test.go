@@ -797,7 +797,7 @@ func TestFollowerStuckWhenLogStartPruned(t *testing.T) {
 	fol, err := repl.NewFollower(repl.FollowerConfig{
 		Manager: folN.m, NodeID: "n2", LeaderAddr: ln.Addr().String(),
 		Backoff: time.Millisecond, Registry: obs.NewRegistry(),
-		Logf:    func(string, ...any) { logged.Add(1) },
+		Logf: func(string, ...any) { logged.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -73,9 +75,9 @@ type Mutation struct {
 	// enqueued this mutation (nil = untraced); the batch that drains it
 	// adopts the first traced mutation's context. EnqNS is the enqueue
 	// wall clock, stamped by Apply while observability is on — the
-	// flight recorder's queue-wait stage. Neither field travels through
-	// the WAL op encoding; the batch record carries one trace-stamp line
-	// instead (see logBatch).
+	// flight recorder's queue-wait stage. Neither field is part of the
+	// op record (AppendOps); a traced batch carries one trace block after
+	// its ops instead, in a rimwire frame and a WAL record alike.
 	TC    *obs.TraceContext
 	EnqNS int64
 }
@@ -96,6 +98,132 @@ func SetRadius(id int64, r float64) Mutation { return Mutation{Op: OpSetRadius, 
 // whole instance, adopting the result.
 func AnnealStep(iters int, seed int64) Mutation {
 	return Mutation{Op: OpAnneal, Iters: iters, Seed: seed}
+}
+
+// The binary op codec: rimwire's MsgMutate payload and the WAL batch
+// record share it. Ops are fixed 33-byte records after a uint32 count —
+//
+//	offset 0   uint8  op (the Op value)
+//	offset 1   int64  node id
+//	offset 9   uint64 a
+//	offset 17  uint64 b
+//	offset 25  uint64 c
+//
+// with a/b/c carrying the op-specific fields as raw little-endian
+// words: add/move store x/y float bits in a/b; set_radius stores r bits
+// in a; anneal stores iters in a and seed in b. Unused words are zero.
+// Floats travel as their bits, so a decode is exact. Encode appends
+// into caller-owned buffers and decode appends into caller-owned
+// slices: nothing allocates once those reach steady-state size.
+
+// ErrBadOps reports a malformed op or trace block.
+var ErrBadOps = errors.New("serve: malformed op block")
+
+// OpRecordSize is the fixed encoded size of one mutation op.
+const OpRecordSize = 33
+
+// AppendOps appends the op-count word and the fixed records for ops.
+func AppendOps(dst []byte, ops []Mutation) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
+	for i := range ops {
+		mu := &ops[i]
+		var a, b, c uint64
+		switch mu.Op {
+		case OpAdd, OpMove:
+			a, b = math.Float64bits(mu.X), math.Float64bits(mu.Y)
+		case OpSetRadius:
+			a = math.Float64bits(mu.R)
+		case OpAnneal:
+			a, b = uint64(mu.Iters), uint64(mu.Seed)
+		}
+		dst = append(dst, byte(mu.Op))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(mu.Node))
+		dst = binary.LittleEndian.AppendUint64(dst, a)
+		dst = binary.LittleEndian.AppendUint64(dst, b)
+		dst = binary.LittleEndian.AppendUint64(dst, c)
+	}
+	return dst
+}
+
+// DecodeOps parses an op block into the caller's slice (appended to, so
+// pass into[:0] to reuse) and returns the bytes after it. The count
+// word is cross-checked against the actual byte length before any slice
+// growth.
+func DecodeOps(p []byte, into []Mutation) ([]Mutation, []byte, error) {
+	if len(p) < 4 {
+		return into, nil, fmt.Errorf("%w: op count cut short", ErrBadOps)
+	}
+	count := int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
+	if count < 0 || len(p) < count*OpRecordSize {
+		return into, nil, fmt.Errorf("%w: %d ops but %d payload bytes", ErrBadOps, count, len(p))
+	}
+	into = slices.Grow(into, count)
+	for i := 0; i < count; i++ {
+		rec := p[i*OpRecordSize : (i+1)*OpRecordSize]
+		op := Op(rec[0])
+		if op < OpAdd || op > OpAnneal {
+			return into, nil, fmt.Errorf("%w: unknown op %d", ErrBadOps, rec[0])
+		}
+		mu := Mutation{Op: op, Node: int64(binary.LittleEndian.Uint64(rec[1:9]))}
+		a := binary.LittleEndian.Uint64(rec[9:17])
+		b := binary.LittleEndian.Uint64(rec[17:25])
+		unused := binary.LittleEndian.Uint64(rec[25:33]) // c
+		switch op {
+		case OpAdd, OpMove:
+			mu.X, mu.Y = math.Float64frombits(a), math.Float64frombits(b)
+		case OpRemove:
+			unused |= a | b
+		case OpSetRadius:
+			mu.R = math.Float64frombits(a)
+			unused |= b
+		case OpAnneal:
+			if a > math.MaxInt32 {
+				return into, nil, fmt.Errorf("%w: anneal iters %d out of range", ErrBadOps, a)
+			}
+			mu.Iters = int(a)
+			mu.Seed = int64(b)
+		}
+		if unused != 0 {
+			// Only AppendOps's exact output decodes, so a decoded block
+			// re-encodes to the same bytes.
+			return into, nil, fmt.Errorf("%w: %s op has nonzero unused words", ErrBadOps, op)
+		}
+		into = append(into, mu)
+	}
+	return into, p[count*OpRecordSize:], nil
+}
+
+// Trace-context block: the 17 bytes a traced op block is followed by —
+//
+//	offset 0   uint64  trace id (nonzero)
+//	offset 8   uint64  parent span id (the sender's span; 0 for a root)
+//	offset 16  uint8   flags (obs.TraceFlag* bits)
+//
+// Trailing the ops keeps it invisible to a reader that stops after
+// DecodeOps.
+
+// TraceBlockSize is the fixed encoded size of one trace-context block.
+const TraceBlockSize = 17
+
+// AppendTraceContext appends one fixed trace-context block.
+func AppendTraceContext(dst []byte, tc obs.TraceContext) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, tc.TraceID)
+	dst = binary.LittleEndian.AppendUint64(dst, tc.SpanID)
+	return append(dst, tc.Flags)
+}
+
+// DecodeTraceContext parses a trace-context block off the front of p
+// and returns the rest.
+func DecodeTraceContext(p []byte) (obs.TraceContext, []byte, error) {
+	if len(p) < TraceBlockSize {
+		return obs.TraceContext{}, nil, fmt.Errorf("%w: trace block is %d bytes (want %d)", ErrBadOps, len(p), TraceBlockSize)
+	}
+	return obs.TraceContext{
+		TraceID: binary.LittleEndian.Uint64(p[0:8]),
+		SpanID:  binary.LittleEndian.Uint64(p[8:16]),
+		Flags:   p[16],
+	}, p[TraceBlockSize:], nil
 }
 
 // checkCoord rejects non-finite or out-of-bound coordinates. The bound
@@ -196,48 +324,20 @@ func coalesce(batch []Mutation) []Mutation {
 
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// formatOp renders the op-specific fields of a trace line.
-func formatOp(mu Mutation) string { return string(appendOp(nil, mu)) }
-
-// appendOp is formatOp in append form — the WAL encode path renders
-// batch payloads through it into a reused buffer, so the per-batch
-// record costs no intermediate strings (the BENCH_3 WAL throughput
-// fix). Output is byte-identical to the historical fmt.Sprintf
-// rendering; parseFields round-trips both.
-func appendOp(dst []byte, mu Mutation) []byte {
-	appendFloat := func(dst []byte, f float64) []byte {
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
-	}
+// formatOp renders the op-specific fields of a trace line (and of a
+// v1 text WAL batch line, which is the same rendering).
+func formatOp(mu Mutation) string {
 	switch mu.Op {
-	case OpAdd:
-		dst = append(dst, "add id="...)
-		dst = strconv.AppendInt(dst, mu.Node, 10)
-		dst = append(dst, " x="...)
-		dst = appendFloat(dst, mu.X)
-		dst = append(dst, " y="...)
-		return appendFloat(dst, mu.Y)
+	case OpAdd, OpMove:
+		return fmt.Sprintf("%s id=%d x=%s y=%s", mu.Op, mu.Node, ftoa(mu.X), ftoa(mu.Y))
 	case OpRemove:
-		dst = append(dst, "remove id="...)
-		return strconv.AppendInt(dst, mu.Node, 10)
-	case OpMove:
-		dst = append(dst, "move id="...)
-		dst = strconv.AppendInt(dst, mu.Node, 10)
-		dst = append(dst, " x="...)
-		dst = appendFloat(dst, mu.X)
-		dst = append(dst, " y="...)
-		return appendFloat(dst, mu.Y)
+		return fmt.Sprintf("remove id=%d", mu.Node)
 	case OpSetRadius:
-		dst = append(dst, "set id="...)
-		dst = strconv.AppendInt(dst, mu.Node, 10)
-		dst = append(dst, " r="...)
-		return appendFloat(dst, mu.R)
+		return fmt.Sprintf("set id=%d r=%s", mu.Node, ftoa(mu.R))
 	case OpAnneal:
-		dst = append(dst, "anneal iters="...)
-		dst = strconv.AppendInt(dst, int64(mu.Iters), 10)
-		dst = append(dst, " seed="...)
-		return strconv.AppendInt(dst, mu.Seed, 10)
+		return fmt.Sprintf("anneal iters=%d seed=%d", mu.Iters, mu.Seed)
 	}
-	return append(dst, "unknown"...)
+	return "unknown"
 }
 
 // traceHeader renders the instance preamble for a graph-measure

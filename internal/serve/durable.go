@@ -19,9 +19,10 @@ import (
 // frames, checksums, and fsyncs; this file owns the payload encodings —
 //
 //   - a create record carries the rimd-trace v1 instance preamble;
-//   - a batch record carries one formatOp line per mutation, in apply
-//     order (post-coalesce), with Record.Seq = the session's mutation-log
-//     position after the batch;
+//   - a batch record carries the batch's binary op block (the rimwire
+//     mutation encoding), in apply order (post-coalesce), plus a trace
+//     block when traced, with Record.Seq = the session's mutation-log
+//     position after the batch (see encodeBatch);
 //   - a checkpoint carries a full behavioral session snapshot in the
 //     rimsess v1 text format below.
 //
@@ -86,20 +87,55 @@ func parseCreatePayload(payload []byte) ([]geom.Point, string, error) {
 	return pts, headerMeasure(header), nil
 }
 
-// encodeBatch renders one formatOp line per mutation, appending onto
-// dst (pass dst[:0] to reuse a buffer across batches).
-func encodeBatch(dst []byte, batch []Mutation) []byte {
-	for i := range batch {
-		dst = appendOp(dst, batch[i])
-		dst = append(dst, '\n')
+// batchBinary opens a binary batch payload. A v1 text payload starts
+// with an op verb, never a zero byte, so the first byte tells the two
+// apart.
+const batchBinary = 0x00
+
+// encodeBatch renders a batch record payload onto dst (pass dst[:0] to
+// reuse a buffer across batches):
+//
+//	0x00 | op block (AppendOps) | [trace block (AppendTraceContext)]
+//
+// which after the leading byte is exactly the tail of a rimwire
+// MsgMutate frame after its session string. A traced batch's block
+// carries the writer's batch span as its SpanID — the causal parent a
+// replicated re-apply links to.
+func encodeBatch(dst []byte, batch []Mutation, tc *obs.TraceContext) []byte {
+	dst = append(dst, batchBinary)
+	dst = AppendOps(dst, batch)
+	if tc != nil {
+		dst = AppendTraceContext(dst, *tc)
 	}
 	return dst
 }
 
-// parseBatchPayload inverts encodeBatch. '#'-comment lines (the trace
-// stamp, or annotations from future writers) are skipped — they are
-// metadata about the batch, not mutations of it.
-func parseBatchPayload(payload []byte) ([]Mutation, error) {
+// parseBatchPayload inverts encodeBatch, returning the batch and its
+// trace context (nil when untraced). It is the one batch decoder for
+// recovery and replication. A v1 text payload — one formatOp line per
+// mutation, as written by earlier builds and still shipped by an older
+// leader — decodes untraced; its '#' lines are skipped.
+func parseBatchPayload(payload []byte) ([]Mutation, *obs.TraceContext, error) {
+	if len(payload) == 0 || payload[0] != batchBinary {
+		muts, err := parseBatchText(payload)
+		return muts, nil, err
+	}
+	muts, rest, err := DecodeOps(payload[1:], nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch len(rest) {
+	case 0:
+		return muts, nil, nil
+	case TraceBlockSize:
+		tc, _, _ := DecodeTraceContext(rest)
+		return muts, &tc, nil
+	}
+	return nil, nil, fmt.Errorf("%w: %d bytes after %d ops", ErrBadOps, len(rest), len(muts))
+}
+
+// parseBatchText decodes a v1 text batch payload.
+func parseBatchText(payload []byte) ([]Mutation, error) {
 	text := strings.TrimRight(string(payload), "\n")
 	if text == "" {
 		return nil, nil
@@ -124,91 +160,24 @@ func parseBatchPayload(payload []byte) ([]Mutation, error) {
 	return muts, nil
 }
 
-// traceStampPrefix opens the batch record's trace annotation line.
-const traceStampPrefix = "# trace "
-
-// appendTraceStamp renders the trace annotation a traced batch's WAL
-// record carries after its op lines:
-//
-//	# trace id=<hex> span=<batch span id> flags=<n>
-//
-// The '#' keeps it invisible to parseBatchPayload; ParseBatchTrace
-// recovers it so a replication follower can link its apply span back to
-// the leader's batch span.
-func appendTraceStamp(dst []byte, traceID, span uint64, flags uint8) []byte {
-	dst = append(dst, traceStampPrefix...)
-	dst = append(dst, "id="...)
-	dst = strconv.AppendUint(dst, traceID, 16)
-	dst = append(dst, " span="...)
-	dst = strconv.AppendUint(dst, span, 10)
-	dst = append(dst, " flags="...)
-	dst = strconv.AppendUint(dst, uint64(flags), 10)
-	return append(dst, '\n')
-}
-
-// ParseBatchTrace extracts the trace stamp from a batch record payload.
-// The returned context's SpanID is the *writer's* batch span — the causal
-// parent a replicated re-apply links to. ok is false for untraced or
-// legacy records.
-func ParseBatchTrace(payload []byte) (tc obs.TraceContext, ok bool) {
-	text := string(payload)
-	for len(text) > 0 {
-		line := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
-		} else {
-			text = ""
-		}
-		if !strings.HasPrefix(line, traceStampPrefix) {
-			continue
-		}
-		for _, tok := range strings.Fields(line[len(traceStampPrefix):]) {
-			k, v, isKV := strings.Cut(tok, "=")
-			if !isKV {
-				continue
-			}
-			switch k {
-			case "id":
-				u, err := strconv.ParseUint(v, 16, 64)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.TraceID = u
-			case "span":
-				u, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.SpanID = u
-			case "flags":
-				u, err := strconv.ParseUint(v, 10, 8)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.Flags = uint8(u)
-			}
-		}
-		return tc, tc.TraceID != 0
-	}
-	return obs.TraceContext{}, false
-}
-
 // logBatch write-ahead-logs one about-to-apply batch. Owner goroutine
 // only. Errors trip the manager-wide fail-open switch. The append runs
 // under ckptMu so a batch that raced past the dropped-flag check still
 // lands before its session's drop record, never after. A traced batch's
-// record carries the trace stamp: the span id was pre-allocated by
+// record carries its trace block: the span id was pre-allocated by
 // runBatch so the record (written before apply) and the span (recorded
 // after) name the same id.
 func (s *Session) logBatch(batch []Mutation, tc *obs.TraceContext, batchSpan uint64) {
+	if tc != nil {
+		stamped := *tc
+		stamped.SpanID = batchSpan
+		tc = &stamped
+	}
 	// The payload buffer is owner-only scratch; Append consumes it
 	// synchronously (the store copies it into its own encode buffer), so
 	// reusing it across batches is safe and keeps the log path
 	// allocation-free at steady state.
-	s.walBuf = encodeBatch(s.walBuf[:0], batch)
-	if tc != nil {
-		s.walBuf = appendTraceStamp(s.walBuf, tc.TraceID, batchSpan, tc.Flags)
-	}
+	s.walBuf = encodeBatch(s.walBuf[:0], batch, tc)
 	rec := store.Record{
 		Kind:    store.RecordBatch,
 		Session: s.id,

@@ -180,7 +180,7 @@ func (m *Manager) Recover(verify bool) (RecoveryStats, error) {
 			if rec.Seq <= s.seqFloor() {
 				continue // covered by the checkpoint
 			}
-			muts, perr := parseBatchPayload(rec.Payload)
+			muts, _, perr := parseBatchPayload(rec.Payload)
 			if perr != nil {
 				return rs, fmt.Errorf("serve: recover %q: batch seq=%d: %w", id, rec.Seq, perr)
 			}

@@ -79,17 +79,15 @@ func (s *Session) applyReplicated(rec store.Record) error {
 	if rec.Seq <= watermark {
 		return nil // redelivered prefix
 	}
-	muts, err := parseBatchPayload(rec.Payload)
+	muts, tc, err := parseBatchPayload(rec.Payload)
 	if err != nil {
 		return fmt.Errorf("serve: replicated batch %q seq=%d: %w", s.id, rec.Seq, err)
 	}
-	if obs.On() && len(muts) > 0 {
+	if obs.On() && len(muts) > 0 && tc != nil && tc.Valid() {
 		// A traced leader batch re-applies as a traced follower batch: the
-		// stamp's span id is the leader's batch span, so the follower's
+		// block's span id is the leader's batch span, so the follower's
 		// serve.batch span links straight back to the leader's commit.
-		if tc, ok := ParseBatchTrace(rec.Payload); ok {
-			muts[0].TC = &tc
-		}
+		muts[0].TC = tc
 	}
 	if rec.Seq != watermark+uint64(len(muts)) {
 		return fmt.Errorf("%w: session %q batch seq=%d does not extend watermark %d by %d",

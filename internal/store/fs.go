@@ -37,10 +37,10 @@ type OSFS struct{}
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (OSFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error                    { return os.Remove(name) }
+func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error                     { return os.Remove(name) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (OSFS) ReadDir(name string) ([]fs.DirEntry, error)  { return os.ReadDir(name) }
+func (OSFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 
 // syncDir fsyncs a directory, making a just-renamed or just-created
 // entry durable. Required after every checkpoint rename and segment

@@ -127,13 +127,13 @@ func TestOpsRoundTrip(t *testing.T) {
 		serve.SetRadius(3, 1.125),
 		serve.AnnealStep(500, -12345),
 	}
-	p := AppendOps(nil, ops)
-	if want := 4 + len(ops)*OpRecordSize; len(p) != want {
+	p := serve.AppendOps(nil, ops)
+	if want := 4 + len(ops)*serve.OpRecordSize; len(p) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(p), want)
 	}
-	got, rest, err := DecodeOps(p, nil)
+	got, rest, err := serve.DecodeOps(p, nil)
 	if err != nil {
-		t.Fatalf("DecodeOps: %v", err)
+		t.Fatalf("serve.DecodeOps: %v", err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("trailing bytes: %d", len(rest))
@@ -152,20 +152,20 @@ func TestOpsAdversarial(t *testing.T) {
 	// Count word larger than the actual byte run must be rejected before
 	// any slice growth.
 	p := binary.LittleEndian.AppendUint32(nil, 1<<30)
-	if _, _, err := DecodeOps(p, nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, err := serve.DecodeOps(p, nil); !errors.Is(err, serve.ErrBadOps) {
 		t.Fatalf("oversized count: %v", err)
 	}
 	// Unknown op byte.
-	bad := AppendOps(nil, []serve.Mutation{serve.Remove(1)})
+	bad := serve.AppendOps(nil, []serve.Mutation{serve.Remove(1)})
 	bad[4] = 200
-	if _, _, err := DecodeOps(bad, nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, err := serve.DecodeOps(bad, nil); !errors.Is(err, serve.ErrBadOps) {
 		t.Fatalf("unknown op: %v", err)
 	}
 	// Anneal iteration counts beyond int32 are rejected (they would wrap
 	// through int on 32-bit builds and bypass MaxAnnealIters).
-	huge := AppendOps(nil, []serve.Mutation{serve.AnnealStep(1, 0)})
+	huge := serve.AppendOps(nil, []serve.Mutation{serve.AnnealStep(1, 0)})
 	binary.LittleEndian.PutUint64(huge[4+9:], uint64(math.MaxInt64))
-	if _, _, err := DecodeOps(huge, nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, err := serve.DecodeOps(huge, nil); !errors.Is(err, serve.ErrBadOps) {
 		t.Fatalf("huge anneal iters: %v", err)
 	}
 }
@@ -299,7 +299,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		start := 0
 		buf = BeginFrame(buf[:0], MsgMutate, 0, 42)
 		buf = AppendString(buf, "bench")
-		buf = AppendOps(buf, ops)
+		buf = serve.AppendOps(buf, ops)
 		buf = EndFrame(buf, start, false)
 	}
 	encode()
@@ -321,7 +321,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		if err != nil {
 			panic("decode: bad session id")
 		}
-		muts, _, err = DecodeOps(rest, muts[:0])
+		muts, _, err = serve.DecodeOps(rest, muts[:0])
 		if err != nil || len(muts) != 3 {
 			panic("decode: bad ops")
 		}

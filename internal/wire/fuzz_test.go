@@ -23,7 +23,7 @@ func FuzzWireDecode(f *testing.F) {
 	// without CRC trailers, plus classic adversarial prefixes.
 	var ops []byte
 	ops = AppendString(ops, "fuzz")
-	ops = AppendOps(ops, []serve.Mutation{
+	ops = serve.AppendOps(ops, []serve.Mutation{
 		serve.Add(1, 2), serve.Remove(3), serve.Move(4, 5, 6),
 		serve.SetRadius(7, 8), serve.AnnealStep(9, 10),
 	})
@@ -88,7 +88,7 @@ func FuzzWireDecode(f *testing.F) {
 			CheckHello(p)
 			if s, rest, err := ReadString(p); err == nil {
 				_ = s
-				muts, _, _ = DecodeOps(rest, muts[:0])
+				muts, _, _ = serve.DecodeOps(rest, muts[:0])
 				pts, _, _ = DecodePoints(rest, pts[:0])
 				DecodeGenSpec(rest)
 			}

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -151,5 +153,120 @@ func TestTraceDisabledNoWireBytes(t *testing.T) {
 	}
 	if !bytes.Equal(plain, traced) {
 		t.Errorf("GoMutateTraced frame differs from GoMutate with tracing off:\n  plain:  %x\n  traced: %x", plain, traced)
+	}
+}
+
+// syncBuf is a bytes.Buffer safe to fill from a proxy goroutine.
+type syncBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuf) bytes() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]byte(nil), s.b.Bytes()...)
+}
+
+// TestWALBatchIsMutateFrameTail pins the one mutation codec: the WAL
+// batch record a traced MsgMutate produces is a zero byte followed by
+// the frame's payload after its session string — the same op records
+// and the same trace block, whose span id the writer replaces with its
+// own batch span.
+func TestWALBatchIsMutateFrameTail(t *testing.T) {
+	if !obs.Available {
+		t.Skip("observability compiled out")
+	}
+	prev := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(prev) })
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Sync: store.SyncAlways, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	addr, _ := startServer(t, serve.Config{Store: st}, wire.ServerConfig{})
+
+	// A one-connection tee recording every client→server byte.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var sent syncBuf
+	go func() {
+		cl, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer cl.Close()
+		up, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go io.Copy(cl, up)
+		io.Copy(up, io.TeeReader(cl, &sent))
+	}()
+
+	c := dialClient(t, ln.Addr().String(), wire.ClientConfig{Conns: 1, Trace: true})
+	if _, err := c.Create("s", line(8)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Traced() {
+		t.Fatal("tracing not negotiated")
+	}
+	// No OpAdd: the server assigns add ids at enqueue, so an add's
+	// logged node id differs from the one the client sent.
+	ops := []serve.Mutation{serve.Move(1, 1.5, -0.25), serve.SetRadius(2, 1.0/3), serve.Remove(3), serve.AnnealStep(20, 9)}
+	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: 7, Flags: obs.TraceFlagSampled}
+	if _, err := c.GoMutateTraced("s", ops, tc).MutateIDs(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush("s"); err != nil {
+		t.Fatal(err)
+	}
+
+	var tail []byte
+	r := wire.NewReader(bytes.NewReader(sent.bytes()), 0)
+	for {
+		h, p, err := r.Next()
+		if err != nil {
+			break
+		}
+		if h.Type == wire.MsgMutate && h.Flags&wire.FlagTrace != 0 {
+			_, rest, _ := wire.ReadString(p)
+			tail = append([]byte(nil), rest...)
+		}
+	}
+	var wal [][]byte
+	if _, _, err := st.ReadFrom(store.Cursor{}, 0, func(rec store.Record) error {
+		if rec.Kind == store.RecordBatch {
+			wal = append(wal, append([]byte(nil), rec.Payload...))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tail == nil || len(wal) != 1 {
+		t.Fatalf("captured frame tail %x and %d batch records, want one of each", tail, len(wal))
+	}
+	got := wal[0]
+	if len(got) != 1+len(tail) || got[0] != 0 {
+		t.Fatalf("WAL payload %x is not 0x00 + the %d-byte frame tail", got, len(tail))
+	}
+	stamp, _, err := serve.DecodeTraceContext(got[len(got)-serve.TraceBlockSize:])
+	if err != nil || stamp.SpanID == 0 || stamp.SpanID == tc.SpanID {
+		t.Fatalf("WAL trace block %+v (%v): want the writer's own batch span", stamp, err)
+	}
+	want := append([]byte{0}, tail...)
+	binary.LittleEndian.PutUint64(want[len(want)-serve.TraceBlockSize+8:], stamp.SpanID)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL payload differs from the MsgMutate tail:\n got  %x\n want %x", got, want)
 	}
 }
